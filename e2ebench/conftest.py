@@ -1,0 +1,15 @@
+"""Import setup for the benchmark harness tests.
+
+    python3 -m pytest e2ebench -q
+"""
+
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+_HERE = Path(__file__).resolve().parent
+for _path in (_HERE, _HERE.parent / "src"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
