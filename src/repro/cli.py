@@ -35,11 +35,8 @@ Eighteen commands cover the workflows a downstream user actually runs:
   (``--history`` appends to a JSONL trajectory, ``--max-overhead`` gates);
 * ``bench-pipeline`` — emit a stamped ``BENCH_pipeline.json`` snapshot of
   the incremental trust pipeline: full-rebuild vs single-event refresh
-  latency per population size, sparse vs dense vs csr matmul, and —
-  with ``--scale-sizes`` — sharded vs monolithic replay of one event
-  stream (``--min-speedup`` / ``--min-sharded-speedup`` /
-  ``--min-csr-speedup`` gate; the scaling gate also requires
-  bit-identical checksums);
+  latency per population size and sparse vs dense vs csr matmul
+  (``--min-speedup`` / ``--min-csr-speedup`` gate);
 * ``recover``     — rebuild trust state from a durability directory
   (latest good snapshot + WAL-tail replay); ``--repair`` truncates a torn
   tail, ``--out`` writes the recovered state as a v2 JSON document;
@@ -95,8 +92,7 @@ from .obs.bench import (append_history, collect_snapshot, overhead_ratio,
                         span_overhead_ratio, span_sampled_overhead_ratio,
                         write_snapshot)
 from .obs.bench_pipeline import (collect_pipeline_snapshot, csr_speedup,
-                                 dense_speedup, incremental_speedup,
-                                 scaling_identical, sharded_speedup)
+                                 dense_speedup, incremental_speedup)
 from .obs.bench_trace import (collect_trace_snapshot, scan_ratio,
                               scan_throughput, write_throughput)
 from .obs.traceio import (DEFAULT_CHUNK_EVENTS, TraceWriter, canonical_line,
@@ -273,14 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "sparse dict-of-dicts, dense numpy, "
                                "compressed-sparse-row, or auto-select by "
                                "density x size (multidimensional only)")
-    simulate.add_argument("--shards", type=int, default=None,
-                          help="partition the trust domain over this many "
-                               "shards (>1 selects the sharded pipeline; "
-                               "multidimensional only)")
-    simulate.add_argument("--shard-workers", type=int, default=None,
-                          help="row-patching worker processes for the "
-                               "sharded pipeline (1 = serial, byte-"
-                               "identical either way)")
     simulate.add_argument("--wal-out", default=None, metavar="DIR",
                           help="journal every trust-state mutation to a "
                                "write-ahead log + snapshots in this "
@@ -498,27 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "beats the full rebuild by this factor "
                                      "at the smallest size (and the dense "
                                      "backend beats sparse)")
-    bench_pipeline.add_argument("--scale-sizes", type=int, nargs="+",
-                                default=[], metavar="PEERS",
-                                help="extra population tiers for the "
-                                     "sharded-vs-monolithic scaling bench "
-                                     "(replays one event stream through "
-                                     "both pipelines, checksum-gated)")
-    bench_pipeline.add_argument("--scale-events", type=int, default=5,
-                                help="single-event refreshes replayed per "
-                                     "scaling tier")
-    bench_pipeline.add_argument("--shards", type=int, default=8,
-                                help="shard count for the scaling bench")
-    bench_pipeline.add_argument("--shard-workers", type=int, default=2,
-                                help="worker processes for the parallel "
-                                     "bit-identity check at the smallest "
-                                     "scaling tier (1 disables it)")
-    bench_pipeline.add_argument("--min-sharded-speedup", type=float,
-                                default=None, metavar="RATIO",
-                                help="exit 1 unless the sharded pipeline "
-                                     "beats the monolith by this factor at "
-                                     "the smallest scaling tier, with "
-                                     "bit-identical checksums everywhere")
     bench_pipeline.add_argument("--min-csr-speedup", type=float,
                                 default=None, metavar="RATIO",
                                 help="exit 1 unless the csr backend beats "
@@ -688,10 +655,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             reputation_config["multitrust_steps"] = args.multitrust_steps
         if args.matmul_backend is not None:
             reputation_config["matmul_backend"] = args.matmul_backend
-        if args.shards is not None:
-            reputation_config["shards"] = args.shards
-        if args.shard_workers is not None:
-            reputation_config["shard_workers"] = args.shard_workers
         mechanism = MultiDimensionalMechanism(
             ReputationConfig(**reputation_config))
     else:
@@ -1344,11 +1307,7 @@ def _cmd_bench_obs(args: argparse.Namespace) -> int:
 def _cmd_bench_pipeline(args: argparse.Namespace) -> int:
     snapshot = collect_pipeline_snapshot(seed=args.seed,
                                          sizes=tuple(args.sizes),
-                                         events=args.events,
-                                         scale_sizes=tuple(args.scale_sizes),
-                                         scale_events=args.scale_events,
-                                         shards=args.shards,
-                                         shard_workers=args.shard_workers)
+                                         events=args.events)
     write_snapshot(args.out, snapshot)
     if args.history is not None:
         append_history(args.history, snapshot)
@@ -1381,25 +1340,6 @@ def _cmd_bench_pipeline(args: argparse.Namespace) -> int:
           f"(x{csr['csr_speedup']:.1f}, auto selects "
           f"{csr['auto_selects']}, max |diff| "
           f"{csr['results_max_abs_diff']:.1e})")
-    if snapshot.get("scaling"):
-        rows = []
-        for entry in snapshot["scaling"]:
-            workers = entry.get("workers")
-            identity = "ok" if entry["checksums_match"] else "MISMATCH"
-            if isinstance(workers, dict):
-                identity += ("+mp" if workers["matches_serial"]
-                             else "+MP-MISMATCH")
-            rows.append([entry["peers"], entry["shards"],
-                         entry["tm_entries"],
-                         f"{entry['monolithic_refresh_seconds'] * 1e3:.1f}",
-                         f"{entry['sharded_refresh_seconds'] * 1e3:.1f}",
-                         f"x{entry['sharded_speedup']:.1f}", identity])
-        print()
-        print(render_table(
-            ["peers", "shards", "TM entries", "monolithic (ms)",
-             "sharded (ms)", "speedup", "identity"],
-            rows, title="Scaling: monolithic vs sharded single-event "
-                        "replay (identical streams)"))
     if args.min_speedup is not None:
         smallest = min(args.sizes)
         speedup = incremental_speedup(snapshot, smallest)
@@ -1416,26 +1356,6 @@ def _cmd_bench_pipeline(args: argparse.Namespace) -> int:
         print(f"pipeline gate passed (x{speedup:.2f} >= "
               f"x{args.min_speedup:.2f} at {smallest} peers, dense "
               f"x{dense_speedup(snapshot):.2f} vs sparse)")
-    if args.min_sharded_speedup is not None:
-        if not args.scale_sizes:
-            print("--min-sharded-speedup needs --scale-sizes tiers to gate",
-                  file=sys.stderr)
-            return 2
-        if not scaling_identical(snapshot):
-            print("sharded pipeline diverged from the monolith (or the "
-                  "parallel replay diverged from serial); see the identity "
-                  "column", file=sys.stderr)
-            return 1
-        smallest_tier = min(args.scale_sizes)
-        tier_speedup = sharded_speedup(snapshot, smallest_tier)
-        if tier_speedup < args.min_sharded_speedup:
-            print(f"sharded speedup x{tier_speedup:.2f} at "
-                  f"{smallest_tier} peers below the "
-                  f"x{args.min_sharded_speedup:.2f} bound", file=sys.stderr)
-            return 1
-        print(f"scaling gate passed (x{tier_speedup:.2f} >= "
-              f"x{args.min_sharded_speedup:.2f} at {smallest_tier} peers, "
-              f"bit-identical)")
     if args.min_csr_speedup is not None:
         ratio = csr_speedup(snapshot)
         if ratio < args.min_csr_speedup:

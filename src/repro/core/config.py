@@ -65,12 +65,9 @@ class ReputationConfig:
     # Irrelevant while multitrust_steps == 1.
     matmul_backend: str = "auto"
 
-    # Sharded trust domain (repro.core.sharded_pipeline): number of shards
-    # the peer space is partitioned into, and the worker-process count for
-    # parallel row patching.  shards == 1 selects the monolithic
-    # TrustPipeline; shard_workers == 1 keeps patching on the serial
-    # in-process path (byte-identical to the monolith either way).
-    shards: int = 1
+    # Worker processes for row patching.  The worker pool was removed and
+    # TrustPipeline patches in process, so 1 is the only legal value; the
+    # field stays so existing callers that pass shard_workers=1 still work.
     shard_workers: int = 1
 
     # Eq. 2 -- distance metric between evaluation vectors.  One of
@@ -130,11 +127,10 @@ class ReputationConfig:
             raise ConfigError(
                 f"unknown matmul_backend {self.matmul_backend!r}; "
                 "expected 'auto', 'sparse', 'dense' or 'csr'")
-        if self.shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {self.shards}")
-        if self.shard_workers < 1:
+        if self.shard_workers != 1:
             raise ConfigError(
-                f"shard_workers must be >= 1, got {self.shard_workers}")
+                f"shard_workers must be 1, got {self.shard_workers}: the "
+                "row-patching worker pool was removed")
         if self.retention_saturation_seconds <= 0:
             raise ConfigError("retention_saturation_seconds must be positive")
         if self.evaluation_retention_interval <= 0:

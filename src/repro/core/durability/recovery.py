@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from ...obs.recorder import NULL_RECORDER, NullRecorder
 from ..reputation_system import MultiDimensionalReputationSystem
@@ -62,10 +62,6 @@ class RecoveryResult:
     quarantined: List[QuarantinedSnapshot] = field(default_factory=list)
     #: True when a torn tail was physically truncated (``repair=True``).
     repaired: bool = False
-    #: Replayed records per shard, from the shard annotation the sharded
-    #: journal stamps on row-local records.  Empty for unsharded journals;
-    #: records without a single owner (e.g. prunes) are not counted here.
-    replayed_by_shard: Dict[int, int] = field(default_factory=dict)
 
 
 def recover(directory: Union[str, Path],
@@ -95,7 +91,6 @@ def recover(directory: Union[str, Path],
     wal_path = directory / WAL_FILENAME
     scan: Optional[WalScan] = None
     replayed = 0
-    replayed_by_shard: Dict[int, int] = {}
     if wal_path.exists():
         scan = read_wal(wal_path)
         for record in scan.records:
@@ -103,9 +98,6 @@ def recover(directory: Union[str, Path],
                 continue
             system.apply_record(record.kind, record.payload)
             replayed += 1
-            shard = record.payload.get("shard")
-            if isinstance(shard, int):
-                replayed_by_shard[shard] = replayed_by_shard.get(shard, 0) + 1
         if replayed:
             system.recompute()
 
@@ -126,13 +118,11 @@ def recover(directory: Union[str, Path],
         snapshot_seq=loaded.last_seq, replayed_records=replayed,
         last_seq=last_seq, truncated_tail_bytes=truncated_tail,
         truncation_reason=reason, repaired=repaired,
-        quarantined=len(loaded.quarantined),
-        shards_replayed=len(replayed_by_shard))
+        quarantined=len(loaded.quarantined))
 
     return RecoveryResult(
         system=system, snapshot_path=loaded.path,
         snapshot_seq=loaded.last_seq, replayed_records=replayed,
         last_seq=last_seq, wal_path=wal_path, wal_scan=scan,
         truncated_tail_bytes=truncated_tail, truncation_reason=reason,
-        quarantined=loaded.quarantined, repaired=repaired,
-        replayed_by_shard=replayed_by_shard)
+        quarantined=loaded.quarantined, repaired=repaired)

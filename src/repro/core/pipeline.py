@@ -16,7 +16,8 @@ flag: any write threw every matrix away and the next query rebuilt the world.
    stable while each refresh has a fresh matrix identity;
 4. ``RM = TM^n`` (Eq. 8) goes through a pluggable
    :mod:`~repro.core.matrix_backend`; for the paper's default ``n = 1`` it
-   *is* the patched ``TM`` and costs nothing.
+   *is* the patched ``TM`` and costs nothing — no backend is even
+   resolved, so the O(entries) ``"auto"`` scan never runs.
 
 The hard bar, enforceable at runtime behind ``REPRO_CHECK_INVARIANTS``:
 an incremental refresh produces matrices **bit-identical** to a full
@@ -37,7 +38,7 @@ from .config import DEFAULT_CONFIG, ReputationConfig
 from .evaluation import EvaluationStore
 from .file_trust import FileTrustAccumulator
 from .matrix import TrustMatrix
-from .matrix_backend import MatmulBackend, resolve_backend
+from .matrix_backend import SPARSE_BACKEND, MatmulBackend, resolve_backend
 from .multitrust import compute_reputation_matrix
 from .user_trust import UserTrustAccumulator, UserTrustStore
 from .volume_trust import DownloadLedger, VolumeTrustAccumulator
@@ -55,10 +56,7 @@ def combine_dimension_rows(dimensions: Sequence[Tuple[float, TrustMatrix]],
     UM) — the same per-entry addition sequence
     :meth:`TrustMatrix.weighted_sum` performs in the full builder, so a
     patched row carries the same floats.  Rows are processed in sorted
-    order; both the monolithic :class:`TrustPipeline` and the sharded
-    pipeline's serial patch path call this, and the multiprocessing worker
-    path replicates the identical float-op sequence in numpy (see
-    :mod:`~repro.core.shard_workers`).
+    order.
     """
     updates: Dict[str, Dict[str, float]] = {}
     for i in sorted(rows):
@@ -107,7 +105,9 @@ class RefreshStats:
     """What one :meth:`TrustPipeline.refresh` actually did.
 
     ``mode`` is ``"full"`` (first refresh or forced), ``"incremental"``
-    (delta-driven patch) or ``"noop"`` (no dirt to consume).  Row counts
+    (delta-driven patch) or ``"noop"`` (no dirt to consume).  ``backend``
+    names the matmul backend that computed ``RM``, or ``"identity"`` when
+    ``n = 1`` made ``RM`` the patched ``TM`` itself.  Row counts
     refer to the integrated ``TM``; ``rebuild_ratio`` is the fraction of
     its rows the refresh re-derived — the number the incremental design
     exists to keep small.
@@ -203,9 +203,8 @@ class TrustPipeline:
         """The current per-dimension one-step matrices, keyed by dimension.
 
         ``{"file": FM, "volume": DM, "user": UM}``; a dimension disabled by
-        a zero weight maps to an empty matrix.  Shared accessor with the
-        sharded pipeline (which merges shard fragments here) so tests and
-        diagnostics never reach into accumulator internals.
+        a zero weight maps to an empty matrix.  Tests and diagnostics read
+        the dimensions here instead of reaching into accumulator internals.
         """
         empty = TrustMatrix()
         return {
@@ -256,7 +255,8 @@ class TrustPipeline:
                              if self._user else set())
             dirty_rows = file_rows | volume_rows | user_rows
             self._publish_trust(dirty_rows)
-            backend = resolve_backend(self.config.matmul_backend, self._trust)
+            backend = self._power_backend(self.config.multitrust_steps,
+                                          self._trust)
             self._publish_reputation(backend)
             span.count("rows_rebuilt", len(dirty_rows))
             span.count("dirty_files", len(dirty_files))
@@ -272,7 +272,8 @@ class TrustPipeline:
 
         stats = RefreshStats(
             mode="full" if full else "incremental",
-            backend=backend.name,
+            backend=("identity" if self.config.multitrust_steps == 1
+                     else backend.name),
             dirty_files=len(dirty_files),
             dirty_rows_file=len(file_rows),
             dirty_rows_volume=len(volume_rows),
@@ -283,7 +284,7 @@ class TrustPipeline:
         self.last_stats = stats
         self._record(stats)
         if not full:
-            self._verify_against_full_rebuild()
+            self._verify_against_full_rebuild(backend)
         return self.view()
 
     def checksums(self) -> Dict[str, str]:
@@ -301,10 +302,9 @@ class TrustPipeline:
         """``TM^steps`` for a step override, cached until the next refresh."""
         cached = self._power_cache.get(steps)
         if cached is None:
-            backend = resolve_backend(self.config.matmul_backend, self._trust)
             cached = compute_reputation_matrix(
                 self._trust, steps, self.config, recorder=self.recorder,
-                backend=backend)
+                backend=self._power_backend(steps, self._trust))
             self._power_cache[steps] = cached
         return cached
 
@@ -337,6 +337,18 @@ class TrustPipeline:
         self._trust = self._trust.copy_with_rows(updates)
         check_row_stochastic(self._trust, name="TM", strict=False)
 
+    def _power_backend(self, steps: int,
+                       matrix: TrustMatrix) -> MatmulBackend:
+        """The backend for ``matrix ** steps``, resolved only if it multiplies.
+
+        ``TM^1`` is ``TM`` and every backend's ``power(m, 1)`` returns
+        ``m``, so at ``steps == 1`` the O(entries) ``"auto"`` scan is
+        skipped and the sparse backend stands in.
+        """
+        if steps == 1:
+            return SPARSE_BACKEND
+        return resolve_backend(self.config.matmul_backend, matrix)
+
     def _publish_reputation(self, backend: MatmulBackend) -> None:
         steps = self.config.multitrust_steps
         if steps == 1 and not self.recorder.enabled:
@@ -347,7 +359,7 @@ class TrustPipeline:
             self._trust, None, self.config, recorder=self.recorder,
             backend=backend)
 
-    def _verify_against_full_rebuild(self) -> None:
+    def _verify_against_full_rebuild(self, backend: MatmulBackend) -> None:
         """Contracts-gated hard bar: patched state == full rebuild, exactly."""
         if not contracts_enabled():
             return
@@ -359,8 +371,7 @@ class TrustPipeline:
         # Same backend as the incremental path: sparse and dense products
         # agree only to tolerance, and the bar here is exact equality.
         full_reputation = compute_reputation_matrix(
-            full_trust, None, self.config,
-            backend=resolve_backend(self.config.matmul_backend, full_trust))
+            full_trust, None, self.config, backend=backend)
         check_matrices_equal(self._reputation, full_reputation,
                              name="RM(incremental)")
 

@@ -11,12 +11,6 @@ Measures the claims the incremental pipeline makes:
 3. **CSR beats dense when TM stays sparse at scale.**  At ≤10% density on
    a CSR-regime node count the compressed product should beat the dense
    numpy product — the third regime of the ``"auto"`` heuristic.
-4. **Sharded beats monolithic at scale.**  Replaying one event stream
-   through the monolithic and the sharded pipeline (identical checksums
-   required — the refactor must not change a single bit), per-refresh
-   latency drops because the sharded pipeline patches only incident
-   shards and resolves its backend from O(1) counters instead of
-   O(entries) matrix scans.
 
 Snapshots carry the same provenance stamp as ``BENCH_obs.json`` (seed,
 config hash, git sha — see :mod:`repro.obs.bench`) so CI can gate on the
@@ -31,13 +25,12 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from .bench import run_stamp
 
 __all__ = ["collect_pipeline_snapshot", "incremental_speedup",
-           "dense_speedup", "sharded_speedup", "scaling_identical",
-           "csr_speedup"]
+           "dense_speedup", "csr_speedup"]
 
 #: Evaluations / downloads / ranks per peer in the synthetic workload.
 _EVALS_PER_PEER = 12
@@ -57,13 +50,6 @@ _BACKEND_STEPS = 2
 _CSR_NODES = 1000
 _CSR_DENSITY = 0.05
 _CSR_STEPS = 2
-
-#: Scaling workload: per-peer event counts for the sharded-vs-monolithic
-#: tiers.  File picks are *uniform* (not Zipf) so co-evaluator counts stay
-#: bounded and TM density falls as 1/peers — the regime sharding targets.
-_SCALED_EVALS_PER_PEER = 8
-_SCALED_DOWNLOADS_PER_PEER = 4
-_SCALED_RANKS_PER_PEER = 2
 
 
 def _zipf_index(rng: random.Random, n: int) -> int:
@@ -234,124 +220,10 @@ def _bench_csr(seed: int) -> Dict[str, object]:
     }
 
 
-def _seed_scaled_system(peers: int, seed: int, shards: int = 1,
-                        shard_workers: int = 1):
-    """A populated system on the *scaling* workload (uniform file picks).
-
-    Identical ``(peers, seed)`` produce an identical event history whatever
-    the shard configuration — the configs differ only in partitioning, and
-    bit-identity across them is asserted by the caller.
-    """
-    from ..core import MultiDimensionalReputationSystem, ReputationConfig
-
-    rng = random.Random(seed)
-    config = ReputationConfig(shards=shards, shard_workers=shard_workers)
-    system = MultiDimensionalReputationSystem(config, auto_refresh=False)
-    users = [f"u{i:05d}" for i in range(peers)]
-    files = [f"f{i:05d}" for i in range(peers * 2)]
-    for user in users:
-        for _ in range(_SCALED_EVALS_PER_PEER):
-            system.record_vote(user, files[rng.randrange(len(files))],
-                               rng.random())
-        for _ in range(_SCALED_DOWNLOADS_PER_PEER):
-            uploader = users[rng.randrange(peers)]
-            if uploader == user:
-                continue
-            file_id = files[rng.randrange(len(files))]
-            system.record_download(user, uploader, file_id,
-                                   rng.uniform(1e5, 1e7))
-            system.record_vote(user, file_id, rng.random())
-        for _ in range(_SCALED_RANKS_PER_PEER):
-            ratee = users[rng.randrange(peers)]
-            if ratee != user:
-                system.record_rank(user, ratee, rng.random())
-    system.recompute()
-    system.refresh_view()  # initial full build, outside all timings
-    return system, users, files
-
-
-def _scaled_stream(peers: int, seed: int,
-                   events: int) -> List[Tuple[str, str, float]]:
-    """The deterministic single-event stream every pipeline variant replays."""
-    rng = random.Random(seed + 1)
-    stream: List[Tuple[str, str, float]] = []
-    for _ in range(events):
-        stream.append((f"u{rng.randrange(peers):05d}",
-                       f"f{rng.randrange(peers * 2):05d}", rng.random()))
-    return stream
-
-
-def _replay_timed(system, stream: Sequence[Tuple[str, str, float]]) -> float:
-    """Mean seconds per single-event refresh over ``stream``."""
-    total = 0.0
-    for user, file_id, value in stream:
-        system.record_vote(user, file_id, value)
-        started = time.perf_counter()
-        system.pipeline.refresh()
-        total += time.perf_counter() - started
-    return total / max(1, len(stream))
-
-
-def _bench_scaling(peers: int, seed: int, events: int, shards: int,
-                   shard_workers: int,
-                   check_workers: bool) -> Dict[str, object]:
-    """Monolithic vs sharded replay of one event stream, checksum-gated."""
-    stream = _scaled_stream(peers, seed, events)
-
-    monolith, _users, _files = _seed_scaled_system(peers, seed)
-    monolithic_seconds = _replay_timed(monolith, stream)
-    monolithic_checksums = monolith.pipeline.checksums()
-    trust = monolith.pipeline.trust
-    entry: Dict[str, object] = {
-        "peers": peers,
-        "shards": shards,
-        "events": len(stream),
-        "tm_rows": len(trust.row_ids()),
-        "tm_entries": trust.entry_count(),
-        "monolithic_refresh_seconds": monolithic_seconds,
-    }
-    del monolith, trust
-
-    sharded, _users, _files = _seed_scaled_system(peers, seed, shards=shards)
-    sharded_seconds = _replay_timed(sharded, stream)
-    entry.update({
-        "sharded_refresh_seconds": sharded_seconds,
-        "sharded_speedup": (monolithic_seconds / sharded_seconds
-                            if sharded_seconds > 0 else 0.0),
-        "checksums_match":
-            sharded.pipeline.checksums() == monolithic_checksums,
-    })
-    del sharded
-
-    if check_workers and shard_workers > 1:
-        parallel, _users, _files = _seed_scaled_system(
-            peers, seed, shards=shards, shard_workers=shard_workers)
-        try:
-            parallel_seconds = _replay_timed(parallel, stream)
-            entry["workers"] = {
-                "workers": shard_workers,
-                "refresh_seconds": parallel_seconds,
-                "matches_serial":
-                    parallel.pipeline.checksums() == monolithic_checksums,
-            }
-        finally:
-            parallel.close()
-    return entry
-
-
 def collect_pipeline_snapshot(seed: int = 42,
                               sizes: Sequence[int] = (100, 500, 1000),
-                              events: int = 20,
-                              scale_sizes: Sequence[int] = (),
-                              scale_events: int = 5,
-                              shards: int = 8,
-                              shard_workers: int = 2) -> Dict[str, object]:
-    """Run the pipeline bench workload and return the stamped snapshot.
-
-    ``scale_sizes`` adds sharded-vs-monolithic tiers (see
-    :func:`_bench_scaling`); the parallel-workers identity check runs at
-    the smallest tier only, to bound seeding cost.
-    """
+                              events: int = 20) -> Dict[str, object]:
+    """Run the pipeline bench workload and return the stamped snapshot."""
     config = {
         "sizes": list(sizes),
         "events": events,
@@ -362,26 +234,15 @@ def collect_pipeline_snapshot(seed: int = 42,
         "backend_density": _BACKEND_DENSITY,
         "csr_nodes": _CSR_NODES,
         "csr_density": _CSR_DENSITY,
-        "scale_sizes": list(scale_sizes),
-        "scale_events": scale_events,
-        "shards": shards,
-        "shard_workers": shard_workers,
     }
     refresh: List[Dict[str, object]] = [
         _bench_refresh(peers, seed, events) for peers in sizes]
-    snapshot: Dict[str, object] = {
+    return {
         **run_stamp(seed, config),
         "refresh": refresh,
         "backend": _bench_backends(seed),
         "csr": _bench_csr(seed),
     }
-    if scale_sizes:
-        smallest = min(scale_sizes)
-        snapshot["scaling"] = [
-            _bench_scaling(peers, seed, scale_events, shards, shard_workers,
-                           check_workers=(peers == smallest))
-            for peers in scale_sizes]
-    return snapshot
 
 
 def incremental_speedup(snapshot: Dict[str, object],
@@ -407,26 +268,3 @@ def csr_speedup(snapshot: Dict[str, object]) -> float:
     if not isinstance(section, dict):
         return 0.0
     return float(section.get("csr_speedup", 0.0))
-
-
-def sharded_speedup(snapshot: Dict[str, object], peers: int) -> float:
-    """The monolithic/sharded replay ratio recorded for a scaling tier."""
-    for entry in snapshot.get("scaling", ()):  # type: ignore[union-attr]
-        if isinstance(entry, dict) and entry.get("peers") == peers:
-            return float(entry.get("sharded_speedup", 0.0))
-    return 0.0
-
-
-def scaling_identical(snapshot: Dict[str, object]) -> bool:
-    """True when every scaling tier reproduced the monolith bit-for-bit
-    (and the parallel-workers replay, where run, matched too)."""
-    entries = snapshot.get("scaling", ())
-    if not entries:
-        return False
-    for entry in entries:  # type: ignore[union-attr]
-        if not isinstance(entry, dict) or not entry.get("checksums_match"):
-            return False
-        workers = entry.get("workers")
-        if isinstance(workers, dict) and not workers.get("matches_serial"):
-            return False
-    return True

@@ -131,19 +131,22 @@ class TestOtherKnobs:
 
 
 class TestShardingKnobs:
+    """What is left of the sharding knobs: ``shard_workers`` pinned to 1."""
+
     def test_defaults_are_monolithic(self):
-        # shards == 1 selects the monolithic TrustPipeline and
-        # shard_workers == 1 keeps row patching serial and in-process.
-        assert DEFAULT_CONFIG.shards == 1
         assert DEFAULT_CONFIG.shard_workers == 1
+        assert not hasattr(DEFAULT_CONFIG, "shards")
 
-    def test_sharded_configs_accepted(self):
-        config = ReputationConfig(shards=8, shard_workers=4)
-        assert (config.shards, config.shard_workers) == (8, 4)
+    def test_shard_workers_one_accepted(self):
+        assert ReputationConfig(shard_workers=1) == DEFAULT_CONFIG
 
-    def test_shards_below_one_rejected(self):
-        with pytest.raises(ConfigError, match="shards"):
-            ReputationConfig(shards=0)
+    def test_worker_pool_rejected(self):
+        with pytest.raises(ConfigError, match="worker pool was removed"):
+            ReputationConfig(shard_workers=4)
+
+    def test_shards_field_removed(self):
+        with pytest.raises(TypeError, match="shards"):
+            ReputationConfig(shards=4)  # type: ignore[call-arg]
 
     def test_shard_workers_below_one_rejected(self):
         with pytest.raises(ConfigError, match="shard_workers"):

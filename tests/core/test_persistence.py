@@ -1,6 +1,7 @@
 """Tests for repro.core.persistence: save/restore round trips."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -175,74 +176,73 @@ class TestV2Metadata:
             system_from_dict(data)
 
 
-class TestV3Sharding:
-    """Sharded systems stamp (and validate) shard-routing metadata."""
+#: A v3 document written by the sharded pipeline (``shards=4``,
+#: ``shard_workers=2``, ``multitrust_steps=2``), with the TM/RM checksums
+#: that build printed for it.
+LEGACY_SNAPSHOT = (Path(__file__).resolve().parents[1] / "durability"
+                   / "legacy" / "sharded_v3_snapshot.json")
+LEGACY_SNAPSHOT_CHECKSUMS = {
+    "trust": "3efa55a106f8739c98e1f9a09b0ed8e181cee7497485fa0c72f72938a28cdaf3",
+    "reputation":
+        "b499cafae9305bf00a08bccecc36de872d0737b5c340147e2b267ca43de5a76d",
+}
 
-    def _sharded_system(self):
-        config = ReputationConfig(shards=4)
-        system = MultiDimensionalReputationSystem(config)
-        system.record_vote("alice", "f1", 0.9, timestamp=1.0)
-        system.record_vote("bob", "f1", 0.8, timestamp=2.0)
-        system.record_download("alice", "bob", "f1", 5e8, timestamp=3.0)
-        system.record_rank("bob", "alice", 0.6)
-        return system
+
+def _checksums(system):
+    system.reputation_matrix()
+    return system.pipeline.checksums()
+
+
+class TestV3Sharding:
+    """Documents of the removed sharded pipeline load; new ones omit it."""
+
+    def _legacy(self):
+        return json.loads(LEGACY_SNAPSHOT.read_text())
 
     def test_unsharded_document_has_no_sharding_section(
             self, populated_system):
-        assert "sharding" not in system_to_dict(populated_system)
-
-    def test_sharded_document_stamps_metadata(self):
-        data = system_to_dict(self._sharded_system())
-        sharding = data["sharding"]
-        assert sharding["shards"] == 4
-        assert sharding["hash"] == "blake2b64"
-        assert isinstance(sharding["assignment_digest"], str)
+        data = system_to_dict(populated_system)
+        assert "sharding" not in data
+        assert not {"shards", "shard_workers"} & set(data["config"])
 
     def test_sharded_round_trip(self):
-        system = self._sharded_system()
-        restored = system_from_dict(system_to_dict(system))
-        assert restored.config.shards == 4
-        assert restored.pipeline.checksums() == system.pipeline.checksums()
+        data = self._legacy()
+        assert data["format_version"] == 3
+        assert data["sharding"]["shards"] == 4
+        assert data["config"]["shard_workers"] == 2
+        restored = system_from_dict(data)
+        assert restored.config.shard_workers == 1
+        assert _checksums(restored) == LEGACY_SNAPSHOT_CHECKSUMS
+        again = system_to_dict(restored, last_seq=wal_last_seq(data))
+        assert "sharding" not in again
+        assert _checksums(system_from_dict(again)) == \
+            LEGACY_SNAPSHOT_CHECKSUMS
 
-    def test_wrong_hash_algorithm_rejected(self):
-        data = system_to_dict(self._sharded_system())
+    def test_sharding_section_contents_ignored(self):
+        # Peer-to-shard routing cannot drift once nothing is routed, so
+        # the digest and hash name are no longer checked.
+        data = self._legacy()
+        data["sharding"]["assignment_digest"] = "0" * 64
         data["sharding"]["hash"] = "crc32"
         data["checksum"] = snapshot_checksum(data)
-        with pytest.raises(ValueError, match="crc32"):
-            system_from_dict(data)
-
-    def test_shard_count_disagreement_rejected(self):
-        data = system_to_dict(self._sharded_system())
-        data["sharding"]["shards"] = 8
-        data["checksum"] = snapshot_checksum(data)
-        with pytest.raises(ValueError, match="8 shard"):
-            system_from_dict(data)
-
-    def test_assignment_digest_mismatch_rejected(self):
-        data = system_to_dict(self._sharded_system())
-        data["sharding"]["assignment_digest"] = "0" * 64
-        data["checksum"] = snapshot_checksum(data)
-        with pytest.raises(ValueError, match="assignment digest"):
-            system_from_dict(data)
+        assert _checksums(system_from_dict(data)) == \
+            LEGACY_SNAPSHOT_CHECKSUMS
 
     def test_malformed_sharding_section_rejected(self):
-        data = system_to_dict(self._sharded_system())
-        data["sharding"] = {"shards": "four"}
-        data["checksum"] = snapshot_checksum(data)
-        with pytest.raises(ValueError, match="'sharding'"):
-            system_from_dict(data)
+        for section in ({"shards": "four"}, {"shards": 0}, {"shards": True},
+                        {}, [4]):
+            data = self._legacy()
+            data["sharding"] = section
+            data["checksum"] = snapshot_checksum(data)
+            with pytest.raises(ValueError, match="'sharding'"):
+                system_from_dict(data)
 
     def test_v2_document_without_shard_knobs_loads(self, populated_system):
-        # A pre-v3 document has neither the config knobs nor the section;
-        # it must default to the unsharded pipeline.
         data = system_to_dict(populated_system)
         data["format_version"] = 2
-        del data["config"]["shards"]
-        del data["config"]["shard_workers"]
         data["checksum"] = snapshot_checksum(data)
         restored = system_from_dict(data)
-        assert restored.config.shards == 1
-        assert restored.config.shard_workers == 1
+        assert restored.config == populated_system.config
 
 
 class TestPreciseErrors:

@@ -2,10 +2,12 @@
 
 import pytest
 
+import repro.core.pipeline as pipeline_module
 from repro.core import (EvaluationStore, MultiDimensionalReputationSystem,
                         ReputationConfig, TrustPipeline, UserTrustStore)
 from repro.core.integration import build_one_step_matrix
 from repro.core.volume_trust import DownloadLedger
+from repro.lint.contracts import set_contracts_enabled
 from repro.obs import Recorder
 
 
@@ -134,6 +136,78 @@ class TestStatsAndObservability:
         pipeline, *_ = _pipeline()
         pipeline.refresh()
         assert pipeline.last_stats.rebuild_ratio == 0.0
+
+
+@pytest.fixture(params=[False, True], ids=["contracts-off", "contracts-on"])
+def contracts(request):
+    set_contracts_enabled(request.param)
+    yield request.param
+    set_contracts_enabled(None)
+
+
+class TestBackendResolution:
+    """A backend is resolved only where a power is actually computed."""
+
+    def _count_resolves(self, monkeypatch):
+        calls = []
+        original = pipeline_module.resolve_backend
+
+        def counting(spec, matrix, *args, **kwargs):
+            calls.append(spec)
+            return original(spec, matrix, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "resolve_backend", counting)
+        return calls
+
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_n1_refresh_never_resolves(self, monkeypatch, contracts,
+                                       recorded):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("resolve_backend called at n = 1")
+
+        monkeypatch.setattr(pipeline_module, "resolve_backend", forbidden)
+        pipeline, evaluations, ledger, user_trust = _pipeline()
+        if recorded:
+            pipeline.recorder = Recorder()
+        _populate(evaluations, ledger, user_trust)
+        pipeline.refresh()
+        assert pipeline.last_stats.backend == "identity"
+        evaluations.record_vote("a", "f1", 0.4)
+        pipeline.refresh()
+        assert pipeline.last_stats.mode == "incremental"
+        assert pipeline.last_stats.backend == "identity"
+        assert pipeline.reputation == pipeline.trust
+        assert pipeline.reputation_at(1) is pipeline.reputation
+
+    def test_n2_refresh_resolves_once_per_refresh(self, monkeypatch,
+                                                  contracts):
+        calls = self._count_resolves(monkeypatch)
+        pipeline, evaluations, ledger, user_trust = _pipeline(
+            ReputationConfig(multitrust_steps=2))
+        _populate(evaluations, ledger, user_trust)
+        pipeline.refresh()
+        assert len(calls) == 1
+        assert pipeline.last_stats.backend == "sparse"
+        for value in (0.1, 0.2):
+            evaluations.record_vote("a", "f1", value)
+            pipeline.refresh()
+        assert pipeline.last_stats.mode == "incremental"
+        assert len(calls) == 3
+        pipeline.refresh()  # no dirt: a no-op resolves nothing
+        assert len(calls) == 3
+
+    def test_reputation_at_resolves_only_for_powers(self, monkeypatch):
+        calls = self._count_resolves(monkeypatch)
+        pipeline, evaluations, ledger, user_trust = _pipeline(
+            ReputationConfig(multitrust_steps=2))
+        _populate(evaluations, ledger, user_trust)
+        pipeline.refresh()
+        del calls[:]
+        assert pipeline.reputation_at(1) is pipeline.trust
+        assert calls == []
+        pipeline.reputation_at(3)
+        pipeline.reputation_at(3)  # cached
+        assert len(calls) == 1
 
 
 class TestStepOverrides:

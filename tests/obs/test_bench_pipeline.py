@@ -1,24 +1,21 @@
 """Tests for the pipeline bench snapshot: gate helpers and a tiny real run.
 
-The full bench (5k/10k tiers) is CI territory; here a miniature
+The full bench is CI territory; here a miniature
 ``collect_pipeline_snapshot`` run pins the snapshot's shape, and the gate
-helpers (``sharded_speedup`` / ``scaling_identical`` / ``csr_speedup``)
-are exercised against synthetic snapshots so every branch the CI gate
-relies on is covered without waiting on a benchmark.
+helpers (``incremental_speedup`` / ``csr_speedup``) are exercised against
+synthetic snapshots so every branch the CI gate relies on is covered
+without waiting on a benchmark.
 """
 
 import pytest
 
 from repro.obs.bench_pipeline import (collect_pipeline_snapshot, csr_speedup,
-                                      dense_speedup, incremental_speedup,
-                                      scaling_identical, sharded_speedup)
+                                      dense_speedup, incremental_speedup)
 
 
 @pytest.fixture(scope="module")
 def snapshot():
-    return collect_pipeline_snapshot(seed=5, sizes=(30,), events=3,
-                                     scale_sizes=(40,), scale_events=2,
-                                     shards=2, shard_workers=2)
+    return collect_pipeline_snapshot(seed=5, sizes=(30,), events=3)
 
 
 class TestMiniatureRun:
@@ -33,50 +30,26 @@ class TestMiniatureRun:
         assert csr["results_max_abs_diff"] < 1e-9
         assert csr_speedup(snapshot) > 0
 
-    def test_scaling_entries_are_bit_identical(self, snapshot):
-        entries = snapshot["scaling"]
-        assert [entry["peers"] for entry in entries] == [40]
-        assert entries[0]["checksums_match"] is True
-        # check_workers runs at the smallest tier: the worker-pool replay
-        # must match the serial sharded path exactly.
-        workers = entries[0]["workers"]
-        assert workers["matches_serial"] is True
-        assert scaling_identical(snapshot) is True
-        assert sharded_speedup(snapshot, 40) > 0
-
     def test_dense_speedup_still_reported(self, snapshot):
         assert dense_speedup(snapshot) > 0
 
-    def test_stamp_covers_scaling_knobs(self, snapshot):
-        # The scaling knobs are part of the stamped config: a different
-        # shard count or tier list must change the config hash.
-        other = collect_pipeline_snapshot(seed=5, sizes=(30,), events=3,
-                                          scale_sizes=(40,), scale_events=2,
-                                          shards=4, shard_workers=2)
+    def test_no_scaling_section(self, snapshot):
+        assert "scaling" not in snapshot
+
+    def test_stamp_covers_bench_knobs(self, snapshot):
+        # The workload knobs are part of the stamped config: a different
+        # size list must change the config hash.
+        other = collect_pipeline_snapshot(seed=5, sizes=(31,), events=3)
         assert snapshot["seed"] == 5
         assert other["config_hash"] != snapshot["config_hash"]
 
 
 class TestGateHelpers:
-    def test_sharded_speedup_unknown_tier_is_zero(self, snapshot):
-        # A tier the bench never ran can't pass a >= bound: the helper
+    def test_incremental_speedup_unknown_size_is_zero(self, snapshot):
+        # A size the bench never ran can't pass a >= bound: the helper
         # reports 0.0 so the CI gate fails closed instead of crashing.
-        assert sharded_speedup(snapshot, 999) == 0.0
+        assert incremental_speedup(snapshot, 999) == 0.0
 
-    def test_scaling_identical_requires_entries(self):
-        assert scaling_identical({"scaling": []}) is False
-
-    def test_scaling_identical_rejects_mismatch(self):
-        snapshot = {"scaling": [{"peers": 10, "checksums_match": False}]}
-        assert scaling_identical(snapshot) is False
-
-    def test_scaling_identical_rejects_worker_mismatch(self):
-        snapshot = {"scaling": [{
-            "peers": 10, "checksums_match": True,
-            "workers": {"workers": 2, "matches_serial": False},
-        }]}
-        assert scaling_identical(snapshot) is False
-
-    def test_scaling_identical_accepts_serial_only_entries(self):
-        snapshot = {"scaling": [{"peers": 10, "checksums_match": True}]}
-        assert scaling_identical(snapshot) is True
+    def test_csr_speedup_missing_section_is_zero(self):
+        assert csr_speedup({}) == 0.0
+        assert csr_speedup({"csr": []}) == 0.0

@@ -70,12 +70,7 @@ def _apply(system: MultiDimensionalReputationSystem, event, clock: float
 
 def _assert_all_stages_match(system: MultiDimensionalReputationSystem
                              ) -> None:
-    """Exact equality of every pipeline stage against the full builders.
-
-    Uses the shared :meth:`dimension_matrices` accessor, so the same bar
-    applies verbatim to the monolithic and the sharded pipeline (whose
-    accessor merges shard fragments).
-    """
+    """Exact equality of every pipeline stage against the full builders."""
     config = system.config
     pipeline = system.pipeline
     dimensions = pipeline.dimension_matrices()
@@ -119,6 +114,33 @@ class TestIncrementalEqualsFull:
         system.recompute()
         system.refresh_view()
         _assert_all_stages_match(system)
+
+    @settings(max_examples=15, deadline=None)
+    @given(interleaving=st.lists(events, min_size=2, max_size=30))
+    def test_multitrust_interleavings_every_step(self, interleaving):
+        """n = 1, 2, 3 on one interleaving, refreshed along the way.
+
+        Each run must match the full builders, and its published checksums
+        must equal a run that refreshes only once, at the end.
+        """
+        for steps in (1, 2, 3):
+            config = ReputationConfig(multitrust_steps=steps)
+            system = MultiDimensionalReputationSystem(config,
+                                                      auto_refresh=False)
+            once = MultiDimensionalReputationSystem(config,
+                                                    auto_refresh=False)
+            for index, event in enumerate(interleaving):
+                _apply(system, event, clock=float(index))
+                if event[0] != "refresh":
+                    _apply(once, event, clock=float(index))
+                if index % 7 == 3:
+                    system.recompute()
+                    system.refresh_view()
+            for run in (system, once):
+                run.recompute()
+                run.refresh_view()
+            _assert_all_stages_match(system)
+            assert system.pipeline.checksums() == once.pipeline.checksums()
 
     @settings(max_examples=25, deadline=None)
     @given(interleaving=st.lists(events, min_size=1, max_size=25))
@@ -176,79 +198,3 @@ class TestBackendEquivalence:
             matrices.append(system.pipeline.trust)
         assert matrices[0] == matrices[1] == matrices[2]
         assert isinstance(matrices[0], TrustMatrix)
-
-
-class TestShardedEqualsMonolithic:
-    """The sharded pipeline is the monolithic one, bit for bit.
-
-    Same interleavings, same bar: every shard count must publish matrices
-    whose checksums equal the unsharded pipeline's, and every stage must
-    still match the full builders (the sharded pipeline merges per-shard
-    fragments inside :meth:`dimension_matrices`).
-    """
-
-    @settings(max_examples=30, deadline=None)
-    @given(interleaving=st.lists(events, min_size=1, max_size=35))
-    def test_every_shard_count_matches_monolith(self, interleaving):
-        checksums = []
-        for shards in (1, 2, 4):
-            config = ReputationConfig(shards=shards)
-            system = MultiDimensionalReputationSystem(config,
-                                                      auto_refresh=False)
-            for index, event in enumerate(interleaving):
-                _apply(system, event, clock=float(index))
-            system.recompute()
-            system.refresh_view()
-            _assert_all_stages_match(system)
-            checksums.append(system.pipeline.checksums())
-        monolith = MultiDimensionalReputationSystem(auto_refresh=False)
-        for index, event in enumerate(interleaving):
-            _apply(monolith, event, clock=float(index))
-        monolith.recompute()
-        monolith.refresh_view()
-        assert all(c == monolith.pipeline.checksums() for c in checksums)
-
-    @settings(max_examples=15, deadline=None)
-    @given(interleaving=st.lists(events, min_size=2, max_size=30),
-           steps=st.integers(min_value=1, max_value=3))
-    def test_sharded_multitrust_interleavings(self, interleaving, steps):
-        config = ReputationConfig(shards=3, multitrust_steps=steps)
-        system = MultiDimensionalReputationSystem(config, auto_refresh=False)
-        for index, event in enumerate(interleaving):
-            _apply(system, event, clock=float(index))
-            if index % 7 == 3:
-                system.recompute()
-                system.refresh_view()
-        system.recompute()
-        system.refresh_view()
-        _assert_all_stages_match(system)
-
-    def test_worker_pool_matches_serial_sharded(self):
-        """shards=4, workers=2 replays an interleaving bit-identically."""
-        interleaving = []
-        for i in range(40):
-            user = USERS[i % len(USERS)]
-            peer = USERS[(i + 1) % len(USERS)]
-            file_id = FILES[i % len(FILES)]
-            interleaving.extend([
-                ("vote", user, file_id, (i % 10) / 10.0),
-                ("download", user, peer, file_id, 1e4 + i),
-                ("rank", user, peer, (i % 7) / 7.0),
-            ])
-        checksums = {}
-        for workers in (1, 2):
-            config = ReputationConfig(shards=4, shard_workers=workers)
-            system = MultiDimensionalReputationSystem(config,
-                                                      auto_refresh=False)
-            try:
-                for index, event in enumerate(interleaving):
-                    _apply(system, event, clock=float(index))
-                    if index % 17 == 5:
-                        system.recompute()
-                        system.refresh_view()
-                system.recompute()
-                system.refresh_view()
-                checksums[workers] = system.pipeline.checksums()
-            finally:
-                system.close()
-        assert checksums[1] == checksums[2]
