@@ -11,6 +11,7 @@ no use for — and answers two queries:
 * :meth:`reputation` — how much does ``observer`` trust ``target``?  Used
   for peer selection and service differentiation.  Scale is
   mechanism-specific; only within-observer comparisons are meaningful.
+  :meth:`reputations` asks the same of many targets at once.
 * :meth:`file_score` — the mechanism's estimate (in [0, 1]) that a file is
   real, or ``None`` when it has no evidence.  Used for fake-file filtering.
 
@@ -21,7 +22,7 @@ single point to recompute; it may be a no-op for purely incremental ones.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.recorder import NULL_RECORDER, NullRecorder
 
@@ -103,6 +104,16 @@ class ReputationMechanism(abc.ABC):
     @abc.abstractmethod
     def reputation(self, observer: str, target: str) -> float:
         """Trust of ``observer`` in ``target`` (mechanism-specific scale)."""
+
+    def reputations(self, observer: str,
+                    targets: Sequence[str]) -> List[float]:
+        """``[reputation(observer, t) for t in targets]``, as one query.
+
+        Mechanisms whose per-pair query repeats per-observer work override
+        this to do that work once per batch; an override must return the
+        same floats, bit for bit, as the per-pair loop below.
+        """
+        return [self.reputation(observer, target) for target in targets]
 
     def is_distrusted(self, observer: str, target: str) -> bool:
         """True when the observer *explicitly* distrusts the target.

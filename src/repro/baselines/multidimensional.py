@@ -7,7 +7,7 @@ map one-to-one onto the façade; ``file_score`` is Eq. 9's file reputation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import DEFAULT_CONFIG, ReputationConfig
 from ..core.reputation_system import MultiDimensionalReputationSystem
@@ -84,6 +84,10 @@ class MultiDimensionalMechanism(ReputationMechanism):
 
     def reputation(self, observer: str, target: str) -> float:
         return self.system.effective_reputation(observer, target)
+
+    def reputations(self, observer: str,
+                    targets: Sequence[str]) -> List[float]:
+        return self.system.effective_reputations(observer, targets)
 
     def is_distrusted(self, observer: str, target: str) -> bool:
         return self.system.user_trust.is_blacklisted(observer, target)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .config import DEFAULT_CONFIG, ReputationConfig
@@ -115,6 +116,11 @@ class ActionCreditTracker:
     trust matrices but feed the user-trust dimension (a well-behaved user
     becomes rateable even before anyone downloads from him), and give the
     simulator an auditable ledger of who earned what and why.
+
+    The largest balance is kept as a running maximum.  It is exact because
+    a balance only ever grows: magnitudes and the configured per-action
+    credits are all ``>= 0``, so the new maximum after a credit is the
+    larger of the old one and the credited balance.
     """
 
     config: ReputationConfig = field(default=DEFAULT_CONFIG)
@@ -124,11 +130,18 @@ class ActionCreditTracker:
     #: .JournalSink`): :meth:`record` emits before the balance moves.
     journal: Optional[JournalSink] = field(default=None, repr=False,
                                            compare=False)
+    #: ``max(_credits.values(), default=0.0)``, maintained per write.
+    _max: float = field(default=0.0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._max = max(self._credits.values(), default=0.0)
 
     def record(self, user_id: str, action: IncentiveAction,
                magnitude: float = 1.0) -> float:
         """Credit ``user_id`` for one ``action``; returns the new balance."""
-        if magnitude < 0:
+        # Written so NaN fails too: the running maximum needs balances
+        # that only grow.
+        if not magnitude >= 0:
             raise ValueError(f"magnitude must be >= 0, got {magnitude}")
         if self.journal is not None:
             self.journal("credit.record", {
@@ -140,10 +153,13 @@ class ActionCreditTracker:
             IncentiveAction.RANK_USER: self.config.rank_credit,
             IncentiveAction.DELETE_FAKE_FILE: self.config.delete_fake_credit,
         }[action]
-        self._credits[user_id] = self._credits.get(user_id, 0.0) + credit
+        balance = self._credits.get(user_id, 0.0) + credit
+        self._credits[user_id] = balance
+        if balance > self._max:
+            self._max = balance
         key = (user_id, action)
         self._counts[key] = self._counts.get(key, 0) + 1
-        return self._credits[user_id]
+        return balance
 
     def apply_record(self, kind: str, payload: Mapping[str, Any]) -> None:
         """Replay one journalled credit through the live ingest path."""
@@ -152,14 +168,29 @@ class ActionCreditTracker:
         self.record(payload["user"], IncentiveAction(payload["action"]),
                     payload["magnitude"])
 
+    def restore(self, balances: Mapping[str, float],
+                counts: Mapping[Tuple[str, IncentiveAction], int]) -> None:
+        """Replace the ledger with persisted state (not journalled)."""
+        self._credits = dict(balances)
+        self._counts = dict(counts)
+        self._max = max(self._credits.values(), default=0.0)
+
     def credit(self, user_id: str) -> float:
         return self._credits.get(user_id, 0.0)
+
+    def max_credit(self) -> float:
+        """Largest balance in the ledger (0.0 when nobody has any), O(1)."""
+        return self._max
 
     def action_count(self, user_id: str, action: IncentiveAction) -> int:
         return self._counts.get((user_id, action), 0)
 
     def balances(self) -> Dict[str, float]:
         return dict(self._credits)
+
+    def balances_view(self) -> Mapping[str, float]:
+        """Read-only *live* view of every balance — no copy."""
+        return MappingProxyType(self._credits)
 
     def top_users(self, k: int = 10) -> List[Tuple[str, float]]:
         """The ``k`` users with the highest credit, descending."""

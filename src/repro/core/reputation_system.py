@@ -253,10 +253,29 @@ class MultiDimensionalReputationSystem:
         The bonus bootstraps well-behaved newcomers: voting/ranking/cleanup
         earn service priority even before a trust path exists.
         """
+        return self.effective_reputations(observer, [target])[0]
+
+    def effective_reputations(self, observer: str,
+                              targets: Sequence[str]) -> List[float]:
+        """:meth:`effective_reputation` of every target, in one pass.
+
+        ``RM``, the largest credit balance and the observer's reference
+        scale depend only on the system and the observer, so they are read
+        once for the whole batch; each target then costs one lookup in the
+        observer's ``RM`` row and one in the credit ledger.  Every value is
+        bit-identical to the single-target query.
+        """
         reputation = self.reputation_matrix()
-        return self._effective_reputation(
-            reputation, observer, target, self._max_credit(),
-            self._reference_in(reputation, observer))
+        row = reputation.row_view(observer)
+        max_credit = self.credits.max_credit()
+        if max_credit <= 0:
+            return [row.get(target, 0.0) for target in targets]
+        reference = self._reference_in(reputation, observer)
+        credits = self.credits.balances_view()
+        return [row.get(target, 0.0)
+                + CREDIT_BONUS_WEIGHT * (credits.get(target, 0.0) / max_credit)
+                * reference
+                for target in targets]
 
     def global_reputation(self) -> Dict[str, float]:
         """Column-mean projection of RM (for baseline comparisons)."""
@@ -270,13 +289,6 @@ class MultiDimensionalReputationSystem:
                           observer, file_id, threshold, self.config,
                           accept_when_blind)
 
-    def _max_credit(self) -> float:
-        """Largest credit balance in the system (0.0 when nobody has any)."""
-        balances = self.credits.balances()
-        if not balances:
-            return 0.0
-        return max(balances.values())
-
     @staticmethod
     def _reference_in(reputation: TrustMatrix, observer: str) -> float:
         """Reference reputation scale for the observer (his max row entry)."""
@@ -288,31 +300,13 @@ class MultiDimensionalReputationSystem:
     def _reference(self, observer: str) -> float:
         return self._reference_in(self.reputation_matrix(), observer)
 
-    def _effective_reputation(self, reputation: TrustMatrix, observer: str,
-                              target: str, max_credit: float,
-                              reference: float) -> float:
-        """Shared Eq. + credit-bonus arithmetic over hoisted per-queue state.
-
-        ``max_credit`` and ``reference`` depend only on the system / the
-        observer, so queue ordering computes them once instead of per
-        requester.
-        """
-        pairwise = reputation.get(observer, target)
-        if max_credit <= 0:
-            return pairwise
-        bonus = self.credits.credit(target) / max_credit
-        return pairwise + CREDIT_BONUS_WEIGHT * bonus * reference
-
     def service_level(self, observer: str, requester: str) -> ServiceLevel:
         """Section 3.4: the service ``observer`` should grant ``requester``."""
-        reputation = self.reputation_matrix()
-        reference = self._reference_in(reputation, observer)
         differentiator = ServiceDifferentiator(
-            self.config, reference_reputation=max(reference, 1e-12))
+            self.config,
+            reference_reputation=max(self._reference(observer), 1e-12))
         return differentiator.service_level(
-            requester, self._effective_reputation(
-                reputation, observer, requester, self._max_credit(),
-                reference))
+            requester, self.effective_reputations(observer, [requester])[0])
 
     def order_request_queue(self, observer: str,
                             requests: Sequence[Tuple[str, float]]
@@ -321,18 +315,13 @@ class MultiDimensionalReputationSystem:
 
         High-reputation requesters receive a negative offset and move ahead;
         ties (including all-zero reputations) preserve arrival order.  The
-        differentiator, credit maximum and observer reference are computed
-        once for the whole queue, not per requester.
+        whole queue's effective reputations are one batch query.
         """
-        reputation = self.reputation_matrix()
-        reference = self._reference_in(reputation, observer)
         differentiator = ServiceDifferentiator(
-            self.config, reference_reputation=max(reference, 1e-12))
-        max_credit = self._max_credit()
-        annotated = [
-            (requester, arrival,
-             self._effective_reputation(reputation, observer, requester,
-                                        max_credit, reference))
-            for requester, arrival in requests
-        ]
+            self.config,
+            reference_reputation=max(self._reference(observer), 1e-12))
+        values = self.effective_reputations(
+            observer, [requester for requester, _ in requests])
+        annotated = [(requester, arrival, value) for (requester, arrival),
+                     value in zip(requests, values)]
         return differentiator.order_queue(annotated)

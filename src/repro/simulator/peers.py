@@ -20,6 +20,12 @@ class UploadRequest:
     #: Arrival adjusted by the reputation queue offset (Section 3.4).
     effective_time: float
 
+    def __lt__(self, other: "UploadRequest") -> bool:
+        """Queue order: effective time, then arrival, then requester id."""
+        return ((self.effective_time, self.arrival_time, self.requester_id)
+                < (other.effective_time, other.arrival_time,
+                   other.requester_id))
+
 
 @dataclass
 class Peer:

@@ -17,6 +17,7 @@ The simulation is fully deterministic for a fixed configuration.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -139,6 +140,8 @@ class FileSharingSimulation:
             trace_days=config.duration_seconds / _DAY_SECONDS)
         self.registry = FileRegistry(self.catalog)
         self.peers: Dict[str, Peer] = {}
+        #: Ids of online peers, sorted; kept current by :meth:`_set_online`.
+        self._online: List[str] = []
         self._votes: Dict[Tuple[str, str], float] = {}
         self._blacklist_counts: Dict[str, int] = {}
         self._download_sources: Dict[Tuple[str, str], str] = {}
@@ -252,7 +255,7 @@ class FileSharingSimulation:
                 delay = churn.initial_join_delay()
                 self.engine.schedule(delay, self._join_callback(peer.peer_id))
             else:
-                peer.online = True
+                self._set_online(peer, True)
                 peer.joined_at = 0.0
                 self.mechanism.on_peer_online(peer.peer_id, 0.0)
                 if self.recorder.enabled:
@@ -264,7 +267,7 @@ class FileSharingSimulation:
             peer = self.peers.get(peer_id)
             if peer is None:
                 return
-            peer.online = True
+            self._set_online(peer, True)
             peer.joined_at = engine.now
             self.mechanism.on_peer_online(peer_id, engine.now)
             if self.recorder.enabled:
@@ -276,12 +279,23 @@ class FileSharingSimulation:
                                 self._leave_callback(peer_id))
         return _join
 
+    def _set_online(self, peer: Peer, online: bool) -> None:
+        """Set ``peer.online`` and keep the sorted online list in step."""
+        peer.online = online
+        index = bisect.bisect_left(self._online, peer.peer_id)
+        listed = (index < len(self._online)
+                  and self._online[index] == peer.peer_id)
+        if online and not listed:
+            self._online.insert(index, peer.peer_id)
+        elif not online and listed:
+            del self._online[index]
+
     def _leave_callback(self, peer_id: str):
         def _leave(engine: EventEngine) -> None:
             peer = self.peers.get(peer_id)
             if peer is None or not peer.online:
                 return
-            peer.online = False
+            self._set_online(peer, False)
             peer.queue.clear()
             self.mechanism.on_peer_offline(peer_id, engine.now)
             if self.recorder.enabled:
@@ -306,8 +320,8 @@ class FileSharingSimulation:
             self._handle_request_arrival(engine)
 
     def _handle_request_arrival(self, engine: EventEngine) -> None:
-        online = sorted(pid for pid, peer in self.peers.items() if peer.online)
-        picked = self.workload.pick_request(online, self.registry, engine.now)
+        picked = self.workload.pick_request(self._online, self.registry,
+                                            engine.now)
         if picked is None:
             return
         requester_id, file_id = picked
@@ -364,10 +378,11 @@ class FileSharingSimulation:
         ]
         if not candidates:
             return None
+        values = self.mechanism.reputations(requester_id, candidates)
         scored = [
             (-1.0 if self.mechanism.is_distrusted(requester_id, holder)
-             else self.mechanism.reputation(requester_id, holder), holder)
-            for holder in candidates
+             else value, holder)
+            for holder, value in zip(candidates, values)
         ]
         best = max(score for score, _ in scored)
         top = [holder for score, holder in scored if score >= best - 1e-12]
@@ -383,9 +398,8 @@ class FileSharingSimulation:
         if uploader.has_free_slot:
             self._start_transfer(uploader, request)
         else:
-            uploader.queue.append(request)
-            uploader.queue.sort(key=lambda r: (r.effective_time, r.arrival_time,
-                                               r.requester_id))
+            # After any equal keys: the order a stable sort would give.
+            bisect.insort(uploader.queue, request)
 
     #: Normalised reputation assumed for requesters the uploader has no
     #: information about (newcomers are neither rewarded nor floored).
@@ -412,12 +426,14 @@ class FileSharingSimulation:
         """
         if self.mechanism.is_distrusted(observer_id, target_id):
             return 0.0, True
-        best = max((self.mechanism.reputation(observer_id, pid)
-                    for pid in self.peers if pid != observer_id),
-                   default=0.0)
+        # One batch query: every other peer, then the target itself.
+        values = self.mechanism.reputations(
+            observer_id,
+            [pid for pid in self.peers if pid != observer_id] + [target_id])
+        value = values.pop()
+        best = max(values, default=0.0)
         if best <= 0:
             return 0.0, False
-        value = self.mechanism.reputation(observer_id, target_id)
         if value <= 0:
             return self.NEWCOMER_FACTOR, True
         return min(value / best, 1.0), True
@@ -576,13 +592,13 @@ class FileSharingSimulation:
     def whitewash(self, peer: Peer) -> Peer:
         """Retire ``peer``'s identity and rejoin under a fresh one."""
         now = self.engine.now
-        peer.online = False
+        self._set_online(peer, False)
         self.mechanism.on_peer_offline(peer.peer_id, now)
         self.registry.drop_peer(peer.peer_id, now)
         fresh_id = f"{peer.peer_id}-w{next(self._whitewash_counter)}"
         fresh = self._add_peer(fresh_id, type(peer.behavior)())
         fresh.previous_identities = peer.previous_identities + [peer.peer_id]
-        fresh.online = True
+        self._set_online(fresh, True)
         fresh.joined_at = now
         self.mechanism.on_peer_online(fresh_id, now)
         self._blacklist_counts.pop(fresh_id, None)

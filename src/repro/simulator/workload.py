@@ -7,6 +7,7 @@ not already hold (popularity-weighted among files alive at that time).
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
@@ -53,9 +54,13 @@ class WorkloadModel:
         """
         if not online_peers:
             return None
-        weights = [self._activity.get(peer_id, 1.0) for peer_id in online_peers]
+        # Cumulative weights, summed once for all retries; ``choices``
+        # bisects exactly the sums it would build from ``weights=``.
+        cum_weights = list(itertools.accumulate(
+            self._activity.get(peer_id, 1.0) for peer_id in online_peers))
         for _ in range(8):
-            requester = self._rng.choices(online_peers, weights=weights, k=1)[0]
+            requester = self._rng.choices(online_peers,
+                                          cum_weights=cum_weights, k=1)[0]
             sampled = registry.catalog.sample(self._rng, timestamp=now, k=1)
             if not sampled:
                 return None

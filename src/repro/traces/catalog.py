@@ -17,9 +17,11 @@ quality.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["CatalogFile", "FileCatalog", "zipf_weights"]
 
@@ -58,11 +60,76 @@ class CatalogFile:
         return self.birth_time <= timestamp < self.death_time
 
 
+class _CatalogIndex:
+    """Lookups derived from one state of :attr:`FileCatalog.files`.
+
+    Birth and death times cut the time line into intervals over which the
+    alive set is constant; interval ``k`` holds the timestamps ``t`` with
+    ``bisect_right(boundaries, t) == k``.  ``alive`` is the alive mask of
+    interval ``interval``; moving to another interval re-tests only the
+    files with a birth or death in between, and the pool and its
+    cumulative weights are rebuilt from the mask.
+    """
+
+    def __init__(self, files: List[CatalogFile]):
+        self.files = files
+        self.size = len(files)
+        self.by_id: Dict[str, CatalogFile] = {}
+        for catalog_file in files:
+            # The first file with an id wins, as a front-to-back scan would.
+            self.by_id.setdefault(catalog_file.file_id, catalog_file)
+        self.boundaries = sorted({f.birth_time for f in files}
+                                 | {f.death_time for f in files})
+        slot = {time: index for index, time in enumerate(self.boundaries)}
+        #: File indices with a birth or death at each boundary.
+        self.crossing: List[List[int]] = [[] for _ in self.boundaries]
+        for index, catalog_file in enumerate(files):
+            self.crossing[slot[catalog_file.birth_time]].append(index)
+            self.crossing[slot[catalog_file.death_time]].append(index)
+        self.popularity = [f.popularity for f in files]
+        # Before the first boundary nothing is born yet.
+        self.alive = [False] * len(files)
+        self.interval = 0
+        self.pool: Optional[Tuple[List[CatalogFile], List[float]]] = None
+
+    def covers(self, files: List[CatalogFile]) -> bool:
+        """True while ``files`` is the list, at the length, indexed here."""
+        return files is self.files and len(files) == self.size
+
+    def pool_at(self, timestamp: float
+                ) -> Tuple[List[CatalogFile], List[float]]:
+        """Files eligible at ``timestamp`` and their cumulative weights."""
+        interval = bisect.bisect_right(self.boundaries, timestamp)
+        if self.pool is not None and interval == self.interval:
+            return self.pool
+        low, high = sorted((interval, self.interval))
+        for boundary in range(low, high):
+            for index in self.crossing[boundary]:
+                self.alive[index] = self.files[index].alive_at(timestamp)
+        self.interval = interval
+        pool = list(itertools.compress(self.files, self.alive))
+        if pool:
+            cum_weights = list(itertools.accumulate(
+                itertools.compress(self.popularity, self.alive)))
+        else:
+            pool = self.files
+            cum_weights = list(itertools.accumulate(self.popularity))
+        self.pool = (pool, cum_weights)
+        return self.pool
+
+
 @dataclass
 class FileCatalog:
-    """A collection of catalog files supporting popularity-weighted sampling."""
+    """A collection of catalog files supporting popularity-weighted sampling.
+
+    :meth:`get` and :meth:`sample` read indexes derived from ``files``
+    (:class:`_CatalogIndex`), rebuilt when ``files`` is replaced or grows;
+    editing entries of the list in place is not tracked.
+    """
 
     files: List[CatalogFile] = field(default_factory=list)
+    _index: Optional[_CatalogIndex] = field(default=None, init=False,
+                                            repr=False, compare=False)
 
     @classmethod
     def generate(cls, num_files: int, rng: random.Random,
@@ -126,6 +193,11 @@ class FileCatalog:
     # Sampling and lookup                                                #
     # ------------------------------------------------------------------ #
 
+    def _indexes(self) -> _CatalogIndex:
+        if self._index is None or not self._index.covers(self.files):
+            self._index = _CatalogIndex(self.files)
+        return self._index
+
     def alive_at(self, timestamp: float) -> List[CatalogFile]:
         return [f for f in self.files if f.alive_at(timestamp)]
 
@@ -134,19 +206,19 @@ class FileCatalog:
         """Popularity-weighted sample (with replacement) of k files.
 
         When ``timestamp`` is given only files alive at that instant are
-        eligible; the whole catalog is the fallback if none are.
+        eligible; the whole catalog is the fallback if none are.  The
+        draws equal ``rng.choices(pool, weights=...)``: ``choices`` bisects
+        the same cumulative sums it would build from the weights.
         """
-        pool = self.alive_at(timestamp) if timestamp is not None else self.files
-        if not pool:
-            pool = self.files
-        weights = [f.popularity for f in pool]
-        return rng.choices(pool, weights=weights, k=k)
+        if timestamp is None:
+            return rng.choices(self.files,
+                               weights=[f.popularity for f in self.files],
+                               k=k)
+        pool, cum_weights = self._indexes().pool_at(timestamp)
+        return rng.choices(pool, cum_weights=cum_weights, k=k)
 
     def get(self, file_id: str) -> CatalogFile:
-        for catalog_file in self.files:
-            if catalog_file.file_id == file_id:
-                return catalog_file
-        raise KeyError(file_id)
+        return self._indexes().by_id[file_id]
 
     def fake_ids(self) -> List[str]:
         return [f.file_id for f in self.files if f.is_fake]

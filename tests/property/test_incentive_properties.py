@@ -1,11 +1,15 @@
 """Property tests for the incentive machinery (Section 3.4 invariants)."""
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import (ActionCreditTracker, IncentiveAction,
-                        ReputationConfig, ServiceDifferentiator)
+                        MultiDimensionalReputationSystem, ReputationConfig,
+                        ServiceDifferentiator)
+from repro.core.persistence import system_from_dict, system_to_dict
 
 reputations = st.floats(min_value=0.0, max_value=10.0)
 arrivals = st.floats(min_value=0.0, max_value=1e6)
@@ -108,3 +112,72 @@ class TestCreditProperties:
         total = sum(tracker.action_count("u", action)
                     for action in IncentiveAction)
         assert total == len(actions)
+
+
+credit_records = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c", "d"]),
+              st.sampled_from(list(IncentiveAction)),
+              st.floats(min_value=0.0, max_value=50.0)),
+    max_size=40)
+
+
+class TestRunningMaxCredit:
+    """``max_credit()`` is a running maximum; it must equal the scan."""
+
+    @staticmethod
+    def _scan(tracker):
+        return max(tracker.balances().values(), default=0.0)
+
+    @given(records=credit_records,
+           zero_votes=st.booleans())
+    def test_equals_scan_after_every_record(self, records, zero_votes):
+        config = ReputationConfig(vote_credit=0.0 if zero_votes else 0.25)
+        tracker = ActionCreditTracker(config=config)
+        assert tracker.max_credit() == self._scan(tracker) == 0.0
+        for user, action, magnitude in records:
+            tracker.record(user, action, magnitude)
+            assert tracker.max_credit() == self._scan(tracker)
+
+    @given(records=credit_records)
+    def test_equals_scan_after_wal_replay(self, records):
+        journal = []
+        live = ActionCreditTracker(
+            journal=lambda kind, payload: journal.append((kind, payload)))
+        for user, action, magnitude in records:
+            live.record(user, action, magnitude)
+        replayed = ActionCreditTracker()
+        for kind, payload in journal:
+            replayed.apply_record(kind, payload)
+        assert replayed.balances() == live.balances()
+        assert replayed.max_credit() == self._scan(replayed) \
+            == live.max_credit()
+
+    @given(records=credit_records)
+    def test_equals_scan_after_persistence_restore(self, records):
+        system = MultiDimensionalReputationSystem()
+        for user, action, magnitude in records:
+            system.credits.record(user, action, magnitude)
+        restored = system_from_dict(json.loads(json.dumps(
+            system_to_dict(system))))
+        assert restored.credits.balances() == system.credits.balances()
+        assert restored.credits.max_credit() \
+            == self._scan(restored.credits) == system.credits.max_credit()
+        # The restored maximum keeps tracking later credits.
+        restored.credits.record("z", IncentiveAction.UPLOAD_REAL_FILE, 99.0)
+        assert restored.credits.max_credit() == self._scan(restored.credits)
+
+    def test_restore_replaces_the_ledger(self):
+        tracker = ActionCreditTracker()
+        tracker.record("a", IncentiveAction.UPLOAD_REAL_FILE, 10.0)
+        tracker.restore({"b": 2.0, "c": 3.0},
+                        {("b", IncentiveAction.VOTE): 8})
+        assert tracker.balances() == {"b": 2.0, "c": 3.0}
+        assert tracker.max_credit() == 3.0
+        assert tracker.action_count("a", IncentiveAction.UPLOAD_REAL_FILE) \
+            == 0
+        assert tracker.action_count("b", IncentiveAction.VOTE) == 8
+
+    def test_nan_magnitude_rejected(self):
+        with pytest.raises(ValueError):
+            ActionCreditTracker().record("a", IncentiveAction.VOTE,
+                                         float("nan"))

@@ -6,6 +6,7 @@ from repro.baselines import NullMechanism
 from repro.baselines.base import ReputationMechanism
 from repro.simulator import (FileSharingSimulation, ScenarioSpec,
                              SimulationConfig)
+from repro.simulator.churn import ChurnModel
 
 DAY = 24 * 3600.0
 
@@ -160,3 +161,86 @@ class TestWhitewashInternals:
         simulation._blacklist_counts[peer.peer_id] = 5
         fresh = simulation.whitewash(peer)
         assert simulation.blacklist_count(fresh.peer_id) == 0
+
+
+class TestUploadQueueOrder:
+    """Queued requests sit in (effective, arrival, requester) order, and a
+    request goes after every queued one with an equal key — the order the
+    former append-then-stable-sort gave."""
+
+    @staticmethod
+    def _busy_uploader(simulation, peer_id):
+        uploader = simulation.peers[peer_id]
+        uploader.online = True
+        uploader.active_uploads = uploader.upload_slots
+        return uploader
+
+    def test_equal_keys_keep_submission_order(self):
+        simulation = _simulation(NullMechanism())
+        uploader = self._busy_uploader(simulation, "honest-0000")
+        submissions = [("honest-0002", "f-a"), ("honest-0001", "f-b"),
+                       ("honest-0002", "f-c"), ("honest-0001", "f-d"),
+                       ("honest-0002", "f-e")]
+        for requester, file_id in submissions:
+            simulation._submit_request("honest-0000", requester, file_id)
+        # Same clock, no offsets: only the requester id breaks ties, and
+        # equal (time, time, id) keys stay in submission order.
+        assert [(r.requester_id, r.file_id) for r in uploader.queue] == [
+            ("honest-0001", "f-b"), ("honest-0001", "f-d"),
+            ("honest-0002", "f-a"), ("honest-0002", "f-c"),
+            ("honest-0002", "f-e")]
+
+    def test_matches_stable_sort_over_mixed_keys(self):
+        mechanism = ScriptedMechanism(reputations={
+            ("honest-0000", "honest-0001"): 1.0,
+            ("honest-0000", "honest-0002"): 0.5,
+        })
+        simulation = _simulation(mechanism)
+        uploader = self._busy_uploader(simulation, "honest-0000")
+        requesters = ["honest-0002", "honest-0003", "honest-0001",
+                      "honest-0002", "honest-0001", "honest-0003"]
+        submitted = []
+
+        def submit(requester, file_id):
+            def _submit(engine):
+                simulation._submit_request("honest-0000", requester, file_id)
+                submitted.append(next(r for r in uploader.queue
+                                      if r.file_id == file_id))
+            return _submit
+
+        for index, requester in enumerate(requesters):
+            # Two submissions per instant: equal arrivals, mixed offsets.
+            simulation.engine.schedule_at(float(index // 2),
+                                          submit(requester, f"f-{index}"))
+        simulation.engine.run(until=10.0)
+        assert len(submitted) == len(requesters)
+        expected = sorted(submitted, key=lambda r: (
+            r.effective_time, r.arrival_time, r.requester_id))
+        assert uploader.queue == expected
+        assert len({r.effective_time for r in uploader.queue}) < 6
+
+
+class TestOnlineList:
+    def test_sorted_online_list_tracks_churn_and_whitewash(self):
+        simulation = _simulation(
+            NullMechanism(),
+            scenario=ScenarioSpec(honest=8, whitewashers=3, free_riders=2),
+            duration_seconds=2 * DAY, request_rate=0.05,
+            churn=ChurnModel(mean_session_seconds=3 * 3600.0,
+                             mean_offline_seconds=2 * 3600.0, seed=4))
+        checked = []
+        pick = simulation.workload.pick_request
+
+        def checking_pick(online, registry, now):
+            assert online == sorted(pid for pid, peer
+                                    in simulation.peers.items()
+                                    if peer.online)
+            checked.append(len(online))
+            return pick(online, registry, now)
+
+        simulation.workload.pick_request = checking_pick
+        simulation.run()
+        assert len(checked) > 50
+        assert len(set(checked)) > 3  # membership really changed
+        assert any(peer.previous_identities
+                   for peer in simulation.peers.values())

@@ -1,9 +1,10 @@
 """Tests for repro.traces.catalog."""
 
+import dataclasses
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.traces import FileCatalog, zipf_weights
@@ -130,3 +131,88 @@ class TestCatalogQueries:
         if alive_ids:
             sampled = catalog.sample(rng, timestamp=timestamp, k=50)
             assert all(f.file_id in alive_ids for f in sampled)
+
+
+def _uncached_sample(catalog, rng, timestamp, k):
+    """The catalog's sampling rule with no index: scan, weigh, draw."""
+    pool = catalog.alive_at(timestamp) or catalog.files
+    return rng.choices(pool, weights=[f.popularity for f in pool], k=k)
+
+
+def _boundary_timestamps(catalog, rng, count):
+    """Timestamps on, just before and just after births and deaths."""
+    edges = sorted({f.birth_time for f in catalog}
+                   | {f.death_time for f in catalog})
+    picked = sorted(rng.sample(edges, min(count, len(edges))))
+    stamps = [-1.0, 0.0]
+    for edge in picked:
+        stamps += [edge - 1e-6, edge, edge, edge + 1e-6]
+    return stamps + [edges[-1] + DAY]
+
+
+class TestCatalogIndexes:
+    """The id index and the alive-pool cache equal the uncached paths."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           num_files=st.integers(min_value=1, max_value=60),
+           k=st.integers(min_value=1, max_value=3),
+           shuffle=st.booleans())
+    def test_sample_sequences_equal_uncached(self, seed, num_files, k,
+                                             shuffle):
+        catalog = FileCatalog.generate(num_files, random.Random(seed),
+                                       trace_days=3.0,
+                                       mean_lifetime_days=0.5)
+        stamps = _boundary_timestamps(catalog, random.Random(seed), 12)
+        if shuffle:
+            # Out-of-order timestamps must miss the cache, never hit stale.
+            random.Random(seed + 1).shuffle(stamps)
+        cached_rng, plain_rng = random.Random(seed), random.Random(seed)
+        for timestamp in stamps:
+            assert (catalog.sample(cached_rng, timestamp=timestamp, k=k)
+                    == _uncached_sample(catalog, plain_rng, timestamp, k))
+        assert cached_rng.random() == plain_rng.random()
+
+    def test_appending_files_rebuilds_the_indexes(self):
+        catalog = FileCatalog.generate(30, random.Random(5), trace_days=2.0)
+        timestamp = catalog.files[0].birth_time
+        catalog.sample(random.Random(1), timestamp=timestamp)  # warm cache
+        extra = FileCatalog.generate(31, random.Random(6), trace_days=2.0)
+        late = extra.files[30]
+        catalog.files.append(late)
+        assert catalog.get(late.file_id) is late
+        for stamp in (timestamp, late.birth_time):
+            assert (catalog.sample(random.Random(2), timestamp=stamp, k=5)
+                    == _uncached_sample(catalog, random.Random(2), stamp, 5))
+
+    def test_replacing_files_rebuilds_the_indexes(self):
+        catalog = FileCatalog.generate(30, random.Random(5), trace_days=2.0)
+        timestamp = catalog.files[3].birth_time
+        catalog.sample(random.Random(1), timestamp=timestamp)
+        assert catalog.get("file-000029").file_id == "file-000029"
+        catalog.files = catalog.files[:10]
+        with pytest.raises(KeyError):
+            catalog.get("file-000029")
+        assert (catalog.sample(random.Random(2), timestamp=timestamp, k=5)
+                == _uncached_sample(catalog, random.Random(2), timestamp, 5))
+        # A new list of the same length is a new catalog too.
+        other = FileCatalog.generate(10, random.Random(9), trace_days=2.0)
+        catalog.files = [dataclasses.replace(f, file_id=f"other-{index}")
+                         for index, f in enumerate(other.files)]
+        assert catalog.get("other-3").file_id == "other-3"
+        for stamp in (timestamp, other.files[4].birth_time):
+            assert (catalog.sample(random.Random(3), timestamp=stamp, k=5)
+                    == _uncached_sample(catalog, random.Random(3), stamp, 5))
+
+    def test_get_returns_the_first_file_with_an_id(self):
+        catalog = FileCatalog.generate(5, random.Random(1))
+        first = catalog.files[2]
+        catalog.files.append(dataclasses.replace(first, quality=0.5))
+        assert catalog.get(first.file_id) is first
+
+    def test_no_timestamp_samples_the_whole_catalog(self):
+        catalog = FileCatalog.generate(20, random.Random(3))
+        assert (catalog.sample(random.Random(4), k=7)
+                == random.Random(4).choices(
+                    catalog.files, weights=[f.popularity
+                                            for f in catalog.files], k=7))
